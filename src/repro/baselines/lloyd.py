@@ -8,21 +8,15 @@ a seeded hash order (the classical Forgy init).
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.common.kernels import assign_nearest
 from repro.common.result import ClusterRun
-from repro.common.stats import (
-    centroids_from_stats,
-    cluster_stats,
-    objective_from_stats,
-    sum_sq_norms,
-)
+from repro.common.stats import centroids_from_stats, sum_sq_norms
 from repro.common.vectors import to_matrix
+from repro.core.bkm import iterate
 from repro.core.two_means import STATE_SCHEMA
 
 
@@ -69,41 +63,29 @@ def lloyd_kmeans(
     """Standard Lloyd iterations; history tracks E of each assignment.
 
     ``init_centroids`` (k, d) overrides the Forgy sampling — used by
-    tests and for controlled-initialisation comparisons.
+    tests and for controlled-initialisation comparisons.  Init includes
+    the first assignment; ``extra["centroids"]`` are the centroids the
+    returned labels were assigned to.
     """
     feats = feats_df.select("id", "features").localCheckpoint(eager=True)
-    S, n = sum_sq_norms(feats)
+    centroids: list[np.ndarray] = []  # [i]: what history row i's labels are nearest to
 
-    t0 = time.perf_counter()
-    if init_centroids is not None:
-        C = np.ascontiguousarray(init_centroids, dtype=np.float64)
-        if C.shape[0] != k:
-            raise ValueError(f"init_centroids has {C.shape[0]} rows, need k={k}")
-    else:
-        C = sample_rows(feats, k, seed)
-    init_s = time.perf_counter() - t0
+    def start():
+        if init_centroids is not None:
+            C = np.ascontiguousarray(init_centroids, dtype=np.float64)
+            if C.shape[0] != k:
+                raise ValueError(f"init_centroids has {C.shape[0]} rows, need k={k}")
+        else:
+            C = sample_rows(feats, k, seed)
+        centroids.append(C)
+        return assign_to_centroids(feats, C).localCheckpoint(eager=True)
 
-    history: list[dict] = []
-    iter_s = 0.0
-    state = None
-    prev_I = -np.inf
-    for it in range(iters + 1):
-        t0 = time.perf_counter()
-        new_state = assign_to_centroids(feats, C).localCheckpoint(eager=True)
-        if state is not None:
-            state.unpersist()
-        state = new_state
-        counts, sums = cluster_stats(state, k)
-        I = objective_from_stats(counts, sums)
+    def reassign(state, counts, sums):
         newC, nonempty = centroids_from_stats(counts, sums)
-        C = np.where(nonempty[:, None], newC, C)  # empty cluster keeps centroid
-        iter_s += time.perf_counter() - t0
-        history.append({"iter": it, "elapsed": iter_s, "E": (S - I) / n})
-        if it == iters or I - prev_I <= rel_tol * max(1.0, abs(I)):
-            break
-        prev_I = I
+        # an empty cluster keeps its previous centroid
+        centroids.append(np.where(nonempty[:, None], newC, centroids[-1]))
+        return assign_to_centroids(feats, centroids[-1])
 
-    return ClusterRun(
-        state=state, k=k, history=history, init_s=init_s, iter_s=iter_s,
-        extra={"centroids": C},
-    )
+    run = iterate(start, k, sum_sq_norms(feats), iters=iters, rel_tol=rel_tol, step=reassign)
+    run.extra["centroids"] = centroids[len(run.history) - 1]
+    return run

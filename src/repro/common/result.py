@@ -19,8 +19,14 @@ class ClusterRun:
     """Outcome of one clustering run.
 
     state: (id, features, label) DataFrame, labels in [0, k).
-    history: per-iteration dicts {iter, elapsed, E} with ``elapsed`` the
-        cumulative algorithm seconds when that iteration finished.
+    history: one dict per state the run kept, ``history[0]`` the start.
+        Methods driven by ``core.bkm.iterate`` (Lloyd, BKM, GK-means,
+        closure k-means) record ``{iter, elapsed, E, nonempty}``:
+        ``elapsed`` is the cumulative algorithm seconds when the state's
+        statistics were reduced, ``E`` its distortion and ``nonempty``
+        its count of non-empty clusters.  Mini-Batch records
+        ``{iter, elapsed, E}`` at its evaluation points.  ``final_E`` is
+        the last row's ``E``.
     init_s / iter_s: wall seconds split as the paper's Tab. 2 does.
     extra: method-specific diagnostics (e.g. graph recall, move counts).
     """

@@ -1,4 +1,5 @@
-"""Boost k-means (BKM) — the paper's quality-reference baseline [16].
+"""Boost k-means (BKM) — the paper's quality-reference baseline [16] — and
+the iteration driver every batch method shares.
 
 Stochastic maximisation of ``I = sum_r D_r'D_r / n_r`` (Eqn. 2): each
 point seeks the move with the largest positive ``delta_I`` (Eqn. 3).
@@ -8,19 +9,82 @@ adaptation (DESIGN.md §3): every iteration computes all deltas against
 frozen statistics, applies all positive best moves, then recomputes the
 statistics.  Per-iteration cost is ``O(n·d·k)`` — the same level as
 traditional k-means, which is exactly why the paper needs GK-means.
+
+:func:`iterate` is the loop of BKM, GK-means (Alg. 2), closure k-means
+and Lloyd: they differ only in their start state and their move step.
 """
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.common.kernels import boost_best_move_full
 from repro.common.result import ClusterRun
+# Called by these module-level names, which perfbench/spans.py patches to trace every method.
 from repro.common.stats import cluster_stats, objective_from_stats, sum_sq_norms
 from repro.common.vectors import hash_choice, to_matrix
 from repro.core.two_means import STATE_SCHEMA, two_means_tree
+
+
+def iterate(
+    start: Callable[[], DataFrame],
+    k: int,
+    sq_norms: tuple[float, int],
+    *,
+    iters: int,
+    rel_tol: float,
+    step: Callable[[DataFrame, np.ndarray, np.ndarray], DataFrame],
+    extra: dict | None = None,
+) -> ClusterRun:
+    """Run ``step`` from the state ``start()`` builds; returns a :class:`ClusterRun`.
+
+    ``sq_norms`` is ``(S, n)`` with ``S = sum ||x||^2``.  ``start()`` runs
+    after ``k <= n`` is checked and is timed as Init.  Each iteration
+    reduces the cluster statistics of the current state, records a
+    history row ``{iter, elapsed, E, nonempty}`` (E from ``(S - I) / n``,
+    ``nonempty`` from the counts) and stops after ``iters`` moves or when
+    I rose by at most ``rel_tol`` (relative).  Otherwise the next state is
+    ``step(state, counts, sums)``, checkpointed.  If a step lowered I, the
+    previous state is still cached: it is returned, and the history ends
+    at its row, so ``final_E`` is the E of the returned state.
+    """
+    S, n = sq_norms
+    if k > n:
+        raise ValueError(f"k={k} exceeds n={n}")
+    t0 = time.perf_counter()
+    state = start()
+    init_s = time.perf_counter() - t0
+
+    history: list[dict] = []
+    iter_s = 0.0
+    prev_state, prev_I = None, -np.inf
+    for it in range(iters + 1):
+        t0 = time.perf_counter()
+        counts, sums = cluster_stats(state, k)
+        I = objective_from_stats(counts, sums)
+        iter_s += time.perf_counter() - t0
+        if I < prev_I:  # the last step made it worse: keep the state before it
+            state.unpersist()
+            state = prev_state
+            break
+        if prev_state is not None:
+            prev_state.unpersist()
+        history.append({"iter": it, "elapsed": iter_s, "E": (S - I) / n,
+                        "nonempty": int(np.count_nonzero(counts))})
+        if it == iters or I - prev_I <= rel_tol * max(1.0, abs(I)):
+            break
+        prev_I = I
+
+        t0 = time.perf_counter()
+        prev_state = state
+        state = step(state, counts, sums).localCheckpoint(eager=True)
+        iter_s += time.perf_counter() - t0
+
+    return ClusterRun(state=state, k=k, history=history, init_s=init_s, iter_s=iter_s,
+                      extra={} if extra is None else extra)
 
 
 def random_partition(feats_df: DataFrame, k: int, seed: int) -> DataFrame:
@@ -36,10 +100,10 @@ def random_partition(feats_df: DataFrame, k: int, seed: int) -> DataFrame:
     return feats_df.select("id", "features").mapInPandas(gen, STATE_SCHEMA)
 
 
-def init_state(
+def initial_partition(
     spark: SparkSession, feats_df: DataFrame, k: int, init: str, seed: int
 ) -> DataFrame:
-    """Initial (id, features, label) state: ``"random"`` or ``"2m"`` tree."""
+    """Checkpointed start state of BKM and GK-means: ``"random"`` or ``"2m"`` tree."""
     if init == "random":
         return random_partition(feats_df, k, seed).localCheckpoint(eager=True)
     if init == "2m":
@@ -71,43 +135,22 @@ def boost_kmeans(
     (DESIGN.md §3).
     """
     feats = feats_df.select("id", "features").localCheckpoint(eager=True)
-    S, n = sum_sq_norms(feats)
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
 
-    t0 = time.perf_counter()
-    state = init_state(spark, feats, k, init, seed)
-    init_s = time.perf_counter() - t0
-
-    history: list[dict] = []
-    iter_s = 0.0
-    prev_I = -np.inf
-    for it in range(iters + 1):
-        t0 = time.perf_counter()
-        counts, sums = cluster_stats(state, k)
-        I = objective_from_stats(counts, sums)
-        iter_s += time.perf_counter() - t0
-        history.append({"iter": it, "elapsed": iter_s, "E": (S - I) / n})
-        if it == iters or I - prev_I <= rel_tol * max(1.0, abs(I)):
-            break
-        prev_I = I
-
-        def move(batches, D=sums, cnt=counts):
+    def move(state, counts, sums):
+        def best_moves(batches):
             for pdf in batches:
                 if len(pdf) == 0:
                     continue
                 X = to_matrix(pdf["features"])
                 lab = pdf["label"].to_numpy(dtype=np.int64)
-                tgt, delta = boost_best_move_full(X, lab, D, cnt)
-                new = np.where(delta > 0, tgt, lab)
+                tgt, delta = boost_best_move_full(X, lab, sums, counts)
                 out = pdf.copy()
-                out["label"] = new
+                out["label"] = np.where(delta > 0, tgt, lab)
                 yield out
 
-        t0 = time.perf_counter()
-        new_state = state.mapInPandas(move, STATE_SCHEMA).localCheckpoint(eager=True)
-        state.unpersist()
-        state = new_state
-        iter_s += time.perf_counter() - t0
+        return state.mapInPandas(best_moves, STATE_SCHEMA)
 
-    return ClusterRun(state=state, k=k, history=history, init_s=init_s, iter_s=iter_s)
+    return iterate(
+        lambda: initial_partition(spark, feats, k, init, seed), k, sum_sq_norms(feats),
+        iters=iters, rel_tol=rel_tol, step=move,
+    )

@@ -22,24 +22,20 @@ sequential-to-batch adaptation is the same as in ``core.bkm``
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.common.kernels import boost_delta_I, nearest_among_candidates
 from repro.common.result import ClusterRun
-from repro.common.stats import (
-    centroids_from_stats,
-    cluster_stats,
-    objective_from_stats,
-    sum_sq_norms,
-)
+from repro.common.stats import centroids_from_stats, sum_sq_norms
 from repro.common.vectors import to_matrix
-from repro.core.two_means import STATE_SCHEMA, two_means_tree
+from repro.core.bkm import initial_partition, iterate
+from repro.core.two_means import STATE_SCHEMA
 
-_JOINED_SCHEMA = "id long, features array<double>, label long, cands array<long>"
+# Not called here; kept importable because perfbench/spans.py patches them in this module.
+from repro.common.stats import cluster_stats  # noqa: F401
+from repro.core.two_means import two_means_tree  # noqa: F401
 
 
 def _pad_candidates(cands) -> np.ndarray:
@@ -61,6 +57,42 @@ def candidate_labels(state: DataFrame, edges: DataFrame) -> DataFrame:
         .groupBy("id")
         .agg(F.collect_set("label").alias("cands"))
     )
+
+
+def mean_candidates(cand_df: DataFrame) -> float:
+    """Average |Q| of an ``(id, cands)`` relation (one Spark job)."""
+    row = cand_df.select(F.avg(F.size("cands")).alias("m")).collect()[0]
+    return float(row["m"] or 0.0)
+
+
+def candidate_move(
+    state: DataFrame, cand_df: DataFrame, counts: np.ndarray, sums: np.ndarray, boost: bool
+) -> DataFrame:
+    """One move pass in which each point only considers its ``cands`` clusters.
+
+    ``boost``: the best positive Eqn.-3 move (GK-means); otherwise the
+    nearest candidate centroid (GK-means−, closure k-means).  A point
+    with no candidate row keeps its label.  Returns the lazy next state.
+    """
+    C = None if boost else centroids_from_stats(counts, sums)[0]
+
+    def move(batches):
+        for pdf in batches:
+            if len(pdf) == 0:
+                continue
+            X = to_matrix(pdf["features"])
+            lab = pdf["label"].to_numpy(dtype=np.int64)
+            cand = _pad_candidates(pdf["cands"])
+            if boost:
+                tgt, delta = boost_delta_I(X, lab, cand, sums, counts)
+                new = np.where(delta > 0, tgt, lab)
+            else:
+                new = nearest_among_candidates(X, lab, cand, C)
+            out = pdf[["id", "features"]].copy()
+            out["label"] = new
+            yield out
+
+    return state.join(cand_df, on="id", how="left").mapInPandas(move, STATE_SCHEMA)
 
 
 def gk_means(
@@ -93,71 +125,21 @@ def gk_means(
         raise ValueError(f"unknown mode {mode!r}")
     if sq_norms is None:
         feats = feats_df.select("id", "features").localCheckpoint(eager=True)
-        S, n = sum_sq_norms(feats)
+        sq_norms = sum_sq_norms(feats)
     else:
         feats = feats_df.select("id", "features")
-        S, n = sq_norms
     edges = graph_df.select("id", "nbr")
-
-    t0 = time.perf_counter()
-    if init_state_df is not None:
-        state = init_state_df
-    elif init == "2m":
-        state = two_means_tree(spark, feats, k, seed=seed)
-    elif init == "random":
-        from repro.core.bkm import random_partition
-
-        state = random_partition(feats, k, seed).localCheckpoint(eager=True)
-    else:
-        raise ValueError(f"unknown init {init!r}")
-    init_s = time.perf_counter() - t0
-
-    history: list[dict] = []
     extra: dict = {}
-    iter_s = 0.0
-    prev_I = -np.inf
-    for it in range(iters + 1):
-        t0 = time.perf_counter()
-        counts, sums = cluster_stats(state, k)
-        I = objective_from_stats(counts, sums)
-        iter_s += time.perf_counter() - t0
-        history.append({"iter": it, "elapsed": iter_s, "E": (S - I) / n})
-        if it == iters or I - prev_I <= rel_tol * max(1.0, abs(I)):
-            break
-        prev_I = I
 
-        centroids, _ = centroids_from_stats(counts, sums)
-        use_boost = mode == "boost"
-
-        def move(batches, D=sums, cnt=counts, C=centroids):
-            for pdf in batches:
-                if len(pdf) == 0:
-                    continue
-                X = to_matrix(pdf["features"])
-                lab = pdf["label"].to_numpy(dtype=np.int64)
-                cand = _pad_candidates(pdf["cands"])
-                if use_boost:
-                    tgt, delta = boost_delta_I(X, lab, cand, D, cnt)
-                    new = np.where(delta > 0, tgt, lab)
-                else:
-                    new = nearest_among_candidates(X, lab, cand, C)
-                out = pdf[["id", "features"]].copy()
-                out["label"] = new
-                yield out
-
-        t0 = time.perf_counter()
+    def move(state, counts, sums):
         cand_df = candidate_labels(state, edges)
-        joined = state.join(cand_df, on="id", how="left")
-        if track_candidates and it == 0:
-            stats_row = cand_df.select(
-                F.avg(F.size("cands")).alias("m"), F.count("*").alias("c")
-            ).collect()[0]
-            extra["mean_candidates"] = float(stats_row["m"] or 0.0)
-        new_state = joined.mapInPandas(move, STATE_SCHEMA).localCheckpoint(eager=True)
-        state.unpersist()
-        state = new_state
-        iter_s += time.perf_counter() - t0
+        if track_candidates and "mean_candidates" not in extra:
+            extra["mean_candidates"] = mean_candidates(cand_df)
+        return candidate_move(state, cand_df, counts, sums, boost=mode == "boost")
 
-    return ClusterRun(
-        state=state, k=k, history=history, init_s=init_s, iter_s=iter_s, extra=extra
-    )
+    def start():
+        if init_state_df is not None:
+            return init_state_df
+        return initial_partition(spark, feats, k, init, seed)
+
+    return iterate(start, k, sq_norms, iters=iters, rel_tol=rel_tol, step=move, extra=extra)

@@ -43,11 +43,15 @@ def random_graph(
 
     Requires contiguous ids ``0..n-1`` (as produced by
     ``synth_data.feature_dataset``) so neighbours can be sampled without
-    materialising the id universe.
+    materialising the id universe.  Raises ``ValueError`` when the row
+    count, smallest and largest id do not fit that layout.
     """
-    n = feats_df.count()
+    row = feats_df.agg(F.count("*"), F.min("id"), F.max("id")).collect()[0]
+    n, lo, hi = row[0], row[1], row[2]
     if n < 2:
         raise ValueError("need at least 2 points for a graph")
+    if lo != 0 or hi != n - 1:
+        raise ValueError(f"ids must be 0..n-1: {n} rows with ids in [{lo}, {hi}]")
     kap = min(kappa, n - 1)
 
     def gen(batches):

@@ -38,6 +38,14 @@ def truth_small(spark, feats_small):
 
 
 @pytest.fixture(scope="session")
+def exact_graph(spark, truth_small):
+    """Exact top-5 KNN graph of feats_small as a Spark (id, nbr, dist) DF."""
+    return spark.createDataFrame(
+        truth_small[["id", "nbr", "dist"]]
+    ).localCheckpoint(eager=True)
+
+
+@pytest.fixture(scope="session")
 def gmm_numpy():
     """Tiny deterministic numpy GMM for pure-kernel tests: (X, labels)."""
     rng = np.random.default_rng(0)

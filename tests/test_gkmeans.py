@@ -16,16 +16,6 @@ from repro.core.knn_graph import random_graph
 from repro.oracle import assert_equivalent
 
 
-@pytest.fixture(scope="module")
-def exact_graph(spark, feats_small, truth_small):
-    """Exact top-5 KNN graph of feats_small as a Spark (id, nbr, dist) DF."""
-    g = spark.createDataFrame(
-        truth_small[["id", "nbr", "dist"]]
-    ).localCheckpoint(eager=True)
-    g.count()
-    return g
-
-
 class TestCandidateLabels:
     def test_matches_sql_oracle(self, spark, feats_small, exact_graph):
         """|Q| per point == DuckDB's count(distinct neighbour label)."""

@@ -46,6 +46,11 @@ class TestRandomGraph:
         g = random_graph(spark, feats_small.limit(3), 10, seed=7).toPandas()
         assert g.groupby("id").size().max() <= 2
 
+    @pytest.mark.parametrize("ids", ["id + 1", "id * 2"])
+    def test_rejects_ids_other_than_0_to_n_minus_1(self, spark, feats_small, ids):
+        with pytest.raises(ValueError, match="0..n-1"):
+            random_graph(spark, feats_small.withColumn("id", F.expr(ids)), 4, seed=8)
+
 
 class TestTopKappa:
     def test_keeps_k_smallest_distinct(self, spark):
