@@ -59,11 +59,11 @@ def build_rp_trees(
         .withColumn("cell", F.lit(0).cast("long"))
         .localCheckpoint(eager=True)
     )
+    # Splits keep (s + 1) // 2 (kernels.balanced_halves): the largest cell
+    # at depth d holds ceil(n / 2**d) points.
+    biggest = state.filter(F.col("tree") == 0).count()
     depth = 0
-    while True:
-        biggest = state.groupBy("tree", "cell").count().agg(F.max("count")).collect()[0][0]
-        if biggest <= leaf_size:
-            break
+    while biggest > leaf_size:
         d = depth
         sd = seed
 
@@ -85,6 +85,7 @@ def build_rp_trees(
         )
         state.unpersist()
         state = new_state
+        biggest = (biggest + 1) // 2
         depth += 1
     return state.select("id", "tree", "cell").localCheckpoint(eager=True)
 

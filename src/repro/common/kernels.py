@@ -197,16 +197,26 @@ def nearest_among_candidates(
     return out
 
 
+def balanced_halves(order: np.ndarray) -> np.ndarray:
+    """0/1 side per row: the first ``(n + 1) // 2`` ranks of ``order`` go
+    to side 0, the other ``n // 2`` to side 1.  The 2M and random-projection
+    tree drivers rely on this rule to know every cluster size from ``n``.
+    """
+    side = np.ones(len(order), dtype=np.int64)
+    side[order[: (len(order) + 1) // 2]] = 0
+    return side
+
+
 def local_two_means(
     X: np.ndarray, seed: int, iters: int = 8
 ) -> np.ndarray:
     """One bisection of Alg. 1: 2-means then equal-size adjustment.
 
-    Returns a 0/1 label per row with ``|#0 - #1| <= 1``.  The
+    Returns a 0/1 label per row, split by :func:`balanced_halves`.  The
     equal-size step ranks points by ``d(x,c0) - d(x,c1)`` and gives the
     smaller-rank half to side 0, exactly the 2M-tree balancing rule.
-    Degenerate inputs (n < 2, all-identical rows) fall back to an
-    alternating split, which is still balanced.
+    Degenerate inputs (n < 2, identical seed rows) fall back to ranking
+    by row position, which is still balanced.
     """
     n = X.shape[0]
     if n < 2:
@@ -227,30 +237,20 @@ def local_two_means(
         d2 = squared_distances(X, c)
         margin = d2[:, 0] - d2[:, 1]
         order = np.argsort(margin, kind="stable")
-    labels = np.empty(n, dtype=np.int64)
-    labels[order[: (n + 1) // 2]] = 0
-    labels[order[(n + 1) // 2 :]] = 1
-    return labels
+    return balanced_halves(order)
 
 
 def rp_split(X: np.ndarray, seed: int) -> np.ndarray:
     """Random-projection median split (closure k-means' partition trees).
 
     Projects onto a hashed Gaussian direction and splits at the median;
-    returns a 0/1 side per row with balanced halves.
+    returns a 0/1 side per row, split by :func:`balanced_halves`.
     """
-    n, d = X.shape
-    if n < 2:
-        return np.zeros(n, dtype=np.int64)
     from repro.common.vectors import hash_normals
 
-    direction = hash_normals(np.array([0], dtype=np.uint64), d, seed)[0]
+    direction = hash_normals(np.array([0], dtype=np.uint64), X.shape[1], seed)[0]
     proj = X @ direction
-    order = np.argsort(proj, kind="stable")
-    labels = np.empty(n, dtype=np.int64)
-    labels[order[: (n + 1) // 2]] = 0
-    labels[order[(n + 1) // 2 :]] = 1
-    return labels
+    return balanced_halves(np.argsort(proj, kind="stable"))
 
 
 def pairwise_topk(

@@ -3,16 +3,16 @@
 Balanced hierarchical bisecting: recursively split clusters with a
 local 2-means whose result is adjusted to equal halves, until exactly
 ``k`` clusters exist.  The paper pops the largest cluster one at a
-time; we split *level-wise* — every round bisects, in parallel (one
-``applyInPandas`` group per cluster), the largest clusters still
-needed — which yields the same balanced partition in ``O(log k)``
-Spark rounds instead of ``k-1`` (DESIGN.md §3).
+time; we split *level-wise* — one ``applyInPandas`` pass over all labels
+bisects the largest clusters still needed and passes the others through
+— which yields the same balanced partition in ``O(log k)`` Spark rounds
+instead of ``k-1`` (DESIGN.md §3).  Sizes are tracked on the driver, and
+groups are sorted by ``id`` so labels do not depend on row order.
 
 Each bisection runs a short local Lloyd 2-means then the equal-size
 adjustment of Alg. 1 step 9 (rank by ``d(x,c0) - d(x,c1)``, smaller
-half to side 0); the paper's optional boost refinement of the bisection
-is subsumed by the equal-size step, which overrides fine-grained
-assignment anyway.
+half to side 0).  The paper's optional boost refinement of the bisection
+is not done: the equal-size step overrides fine-grained assignment.
 """
 from __future__ import annotations
 
@@ -52,45 +52,42 @@ def two_means_tree(
         "label", F.lit(0).cast("long")
     )
     state = state.localCheckpoint(eager=True)
-    if k == 1:
-        return state
-
     n = state.count()
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
 
+    # A bisection of s rows keeps (s + 1) // 2 (kernels.balanced_halves).
+    # All labels share one depth at the top of a level, so sizes differ by
+    # at most 1 and k <= n leaves enough clusters of size >= 2 to split.
+    sizes = [n]
     level = 0
-    cur_k = 1
-    while cur_k < k:
-        sizes = (
-            state.groupBy("label").count().toPandas().sort_values(
-                ["count", "label"], ascending=[False, True]
-            )
-        )
-        splittable = sizes[sizes["count"] >= 2]
-        n_split = min(k - cur_k, len(splittable))
-        if n_split == 0:
-            raise RuntimeError("no splittable cluster left before reaching k")
-        chosen = splittable["label"].to_numpy()[:n_split].tolist()
-        new_label = {int(l): cur_k + i for i, l in enumerate(chosen)}
-        lvl = level  # bind loop vars for the UDF closure
-        sd = seed
+    while len(sizes) < k:
+        largest = sorted(range(len(sizes)), key=lambda l: (-sizes[l], l))
+        new_label = {}
+        for parent in largest[: k - len(sizes)]:
+            s = sizes[parent]
+            new_label[parent] = len(sizes)
+            sizes[parent] = (s + 1) // 2
+            sizes.append(s // 2)
 
         def bisect(pdf: pd.DataFrame) -> pd.DataFrame:
             parent = int(pdf["label"].iloc[0])
-            X = to_matrix(pdf["features"])
-            side = local_two_means(X, _group_seed(sd, parent, lvl), iters=local_iters)
-            out = pdf.copy()
+            if parent not in new_label:
+                return pdf
+            out = pdf.sort_values("id", ignore_index=True)
+            X = to_matrix(out["features"])
+            side = local_two_means(X, _group_seed(seed, parent, level), iters=local_iters)
             out.loc[side == 1, "label"] = new_label[parent]
             return out
 
-        to_split = state.filter(F.col("label").isin(chosen))
-        rest = state.filter(~F.col("label").isin(chosen))
-        new_state = rest.unionByName(
-            to_split.groupBy("label").applyInPandas(bisect, STATE_SCHEMA)
-        ).localCheckpoint(eager=True)
+        # Hash by label into one partition per core: the groupBy reuses this
+        # exchange, and later passes' batches stay a core's share of the rows.
+        new_state = (
+            state.repartition(spark.sparkContext.defaultParallelism, "label")
+            .groupBy("label").applyInPandas(bisect, STATE_SCHEMA)
+            .localCheckpoint(eager=True)
+        )
         state.unpersist()
         state = new_state
-        cur_k += n_split
         level += 1
     return state

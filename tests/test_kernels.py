@@ -200,7 +200,8 @@ class TestLocalTwoMeans:
     def test_balanced(self, n):
         X = np.random.default_rng(n).standard_normal((n, 3))
         side = K.local_two_means(X, seed=1)
-        assert abs((side == 0).sum() - (side == 1).sum()) <= 1
+        assert (side == 0).sum() == (n + 1) // 2
+        assert (side == 1).sum() == n // 2
 
     def test_separates_two_blobs(self):
         rng = np.random.default_rng(8)
@@ -215,8 +216,10 @@ class TestLocalTwoMeans:
         assert K.local_two_means(np.ones((1, 2)), 0).tolist() == [0]
 
     def test_identical_points_still_balanced(self):
-        side = K.local_two_means(np.ones((10, 2)), seed=5)
-        assert (side == 0).sum() == 5
+        n = 11
+        side = K.local_two_means(np.ones((n, 2)), seed=5)
+        assert (side == 0).sum() == (n + 1) // 2
+        assert (side == 1).sum() == n // 2
 
     def test_deterministic(self):
         X = np.random.default_rng(10).standard_normal((30, 4))
@@ -230,7 +233,8 @@ class TestRpSplit:
     def test_balanced(self, n):
         X = np.random.default_rng(n).standard_normal((n, 4))
         side = K.rp_split(X, seed=2)
-        assert abs((side == 0).sum() - (side == 1).sum()) <= 1
+        assert (side == 0).sum() == (n + 1) // 2
+        assert (side == 1).sum() == n // 2
 
     def test_deterministic_in_seed(self):
         X = np.random.default_rng(11).standard_normal((40, 5))

@@ -1,10 +1,42 @@
 """Tests for the two-means tree (Alg. 1)."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
+from repro.common.kernels import local_two_means
 from repro.common.stats import distortion_from_state
-from repro.core.two_means import two_means_tree
+from repro.common.vectors import to_matrix
+from repro.core.two_means import _group_seed, two_means_tree
+
+
+def _replay_tree(ids, X, k, seed, local_iters=8):
+    """Alg. 1 level-wise in numpy, sizes counted from the labels.
+
+    Each level splits the ``k - #labels`` largest clusters (ties: lower
+    label first); the i-th chosen gets new label ``#labels + i`` and its
+    rows are taken in id order.
+    """
+    order = np.argsort(ids)
+    ids, X = ids[order], X[order]
+    labels = np.zeros(len(ids), dtype=np.int64)
+    level = 0
+    while (c := labels.max() + 1) < k:
+        counts = np.bincount(labels)
+        chosen = np.lexsort((np.arange(c), -counts))[: k - c]
+        for new, parent in enumerate(chosen, start=c):
+            rows = np.flatnonzero(labels == parent)
+            seed_ = _group_seed(seed, int(parent), level)
+            side = local_two_means(X[rows], seed_, iters=local_iters)
+            labels[rows[side == 1]] = new
+        level += 1
+    return dict(zip(ids.tolist(), labels.tolist()))
+
+
+def _labels(state):
+    pdf = state.select("id", "label").toPandas()
+    return dict(zip(pdf["id"].tolist(), pdf["label"].tolist()))
 
 
 class TestTwoMeansTree:
@@ -32,6 +64,20 @@ class TestTwoMeansTree:
         b = two_means_tree(spark, feats_small, 6, seed=9).toPandas()
         merged = a.merge(b, on="id", suffixes=("_a", "_b"))
         assert (merged["label_a"] == merged["label_b"]).all()
+
+    def test_independent_of_row_order(self, spark, feats_small):
+        """Same labels whatever the partitioning and row order of the input."""
+        shuffled = feats_small.repartition(7, F.col("features")[0])
+        a = _labels(two_means_tree(spark, feats_small, 24, seed=1))
+        b = _labels(two_means_tree(spark, shuffled, 24, seed=1))
+        assert a == b
+
+    @pytest.mark.parametrize("k", [7, 24])
+    def test_matches_numpy_replay(self, spark, feats_small, k):
+        """Split order, sizes and per-group seeds match a numpy replay."""
+        pdf = feats_small.select("id", "features").toPandas()
+        want = _replay_tree(pdf["id"].to_numpy(), to_matrix(pdf["features"]), k, seed=3)
+        assert _labels(two_means_tree(spark, feats_small, k, seed=3)) == want
 
     def test_seed_matters(self, spark, feats_small):
         a = two_means_tree(spark, feats_small, 8, seed=1).toPandas()
