@@ -2,10 +2,11 @@
 
 Asserted shape (the parts that transfer to a 500x-smaller substrate):
 GK-means reaches the lowest distortion; closure k-means inits fastest
-but iterates slowest and ends worst; GK-means' total stays below
-KGraph+GK-means' (NN-Descent is the costlier graph supplier); and the
-extrapolated Lloyd iteration bill exceeds GK-means' measured iteration
-bill by a large factor — the per-iteration k-independence that becomes
+but iterates slowest and ends worst; GK-means iterates faster
+(``iter_s``) than KGraph+GK-means (its graph's neighbours co-cluster,
+so |Q| is smaller; total time is not asserted); and the extrapolated
+Lloyd iteration bill exceeds GK-means' measured iteration bill by a
+large factor — the per-iteration k-independence that becomes
 the paper's "3 years vs 5.2 hours" at k = 10^6.
 """
 from repro.experiments import table2

@@ -12,8 +12,8 @@ Figs. 5-7).
 
 Implementation: trees are built level-wise (one ``applyInPandas`` group
 per (tree, cell), balanced median splits on hashed random directions);
-the candidate relation is the pure-Catalyst double join
-cells ⋈ labels → (tree, cell, label) distinct → cells ⋈ back.
+at init ``cell_neighbours`` lists the ids sharing a cell with each point,
+and GK-means' ``candidate_move`` forms the closure from those lists.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from repro.common.result import ClusterRun
 from repro.common.stats import sum_sq_norms
 from repro.common.vectors import splitmix64, to_matrix
 from repro.core.bkm import iterate
-from repro.core.gkmeans import candidate_move, mean_candidates
+from repro.core.gkmeans import candidate_move, label_vector, mean_candidates, neighbour_lists
 
 _TREE_SCHEMA = "id long, features array<double>, tree int, cell long"
 
@@ -64,9 +64,6 @@ def build_rp_trees(
     biggest = state.filter(F.col("tree") == 0).count()
     depth = 0
     while biggest > leaf_size:
-        d = depth
-        sd = seed
-
         def split(pdf: pd.DataFrame) -> pd.DataFrame:
             out = pdf.copy()
             cell = int(pdf["cell"].iloc[0])
@@ -74,7 +71,7 @@ def build_rp_trees(
                 out["cell"] = cell * 2  # keep ids unique across the level
                 return out
             tree = int(pdf["tree"].iloc[0])
-            side = rp_split(to_matrix(pdf["features"]), _cell_seed(sd, tree, cell, d))
+            side = rp_split(to_matrix(pdf["features"]), _cell_seed(seed, tree, cell, depth))
             out["cell"] = cell * 2 + side
             return out
 
@@ -108,18 +105,11 @@ def initial_labels_from_tree(cells: DataFrame, k: int) -> DataFrame:
     return c0.join(mdf, on="cell").select("id", "label")
 
 
-def closure_candidates(cells: DataFrame, state: DataFrame) -> DataFrame:
-    """Each point's closure: ``(id, cands)`` with the labels of every point
-    sharing a cell with it in some tree (cells ⋈ labels ⋈ cells)."""
-    lab_df = state.select("id", "label")
-    cell_labels = cells.join(lab_df, on="id").select("tree", "cell", "label").distinct()
-    return (
-        cells.join(cell_labels, on=["tree", "cell"])
-        .select("id", "label")
-        .distinct()
-        .groupBy("id")
-        .agg(F.collect_set("label").alias("cands"))
-    )
+def cell_neighbours(cells: DataFrame, n: int) -> DataFrame:
+    """Checkpointed ``(id, nbrs)``: each id's cell mates in every tree, itself
+    included and repeated per tree (Q keeps distinct labels only)."""
+    peers = cells.withColumnRenamed("id", "nbr")
+    return neighbour_lists(cells.join(peers, on=["tree", "cell"]).select("id", "nbr"), n)
 
 
 def closure_kmeans(
@@ -144,22 +134,25 @@ def closure_kmeans(
         leaf_size = int(np.clip(round(n / k), 2, 64))
     leaf_size = min(leaf_size, max(1, n // k))  # ensure >= k cells exist
     extra: dict = {"leaf_size": leaf_size, "n_trees": n_trees}
-    cells = None
+    nbrs_df = None
 
     def start():
-        nonlocal cells
+        nonlocal nbrs_df
         cells = build_rp_trees(
             spark, feats, n_trees=n_trees, leaf_size=leaf_size, seed=seed
         )
+        nbrs_df = cell_neighbours(cells, n)
         labels = initial_labels_from_tree(cells, k)
         return feats.join(labels, on="id").select(
             "id", "features", F.col("label").cast("long").alias("label")
         ).localCheckpoint(eager=True)
 
     def move(state, counts, sums):
-        cand = closure_candidates(cells, state)
+        labels = label_vector(state, n)
         if "mean_candidates" not in extra:
-            extra["mean_candidates"] = mean_candidates(cand)
-        return candidate_move(state, cand, counts, sums, boost=False)
+            extra["mean_candidates"] = mean_candidates(nbrs_df, labels)
+        return candidate_move(state, nbrs_df, labels, counts, sums, boost=False)
 
-    return iterate(start, k, (S, n), iters=iters, rel_tol=rel_tol, step=move, extra=extra)
+    run = iterate(start, k, (S, n), iters=iters, rel_tol=rel_tol, step=move, extra=extra)
+    nbrs_df.unpersist()
+    return run

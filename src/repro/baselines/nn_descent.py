@@ -24,7 +24,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
 from repro.common.vectors import to_matrix
-from repro.core.knn_graph import GRAPH_SCHEMA, random_graph, top_kappa
+from repro.core.knn_graph import GRAPH_SCHEMA, random_graph, recall_or_none, top_kappa
 
 
 def edge_distances(feats_df: DataFrame, pairs: DataFrame) -> DataFrame:
@@ -87,14 +87,7 @@ def nn_descent(
     ).localCheckpoint(eager=True)
     elapsed = time.perf_counter() - t0
 
-    def rec(g):
-        if truth is None:
-            return None
-        from repro.core.metrics import graph_recall
-
-        return graph_recall(g, truth)
-
-    history: list[dict] = [{"round": 0, "elapsed": elapsed, "recall": rec(G)}]
+    history: list[dict] = [{"round": 0, "elapsed": elapsed, "recall": recall_or_none(G, truth)}]
     for r in range(1, rounds + 1):
         t0 = time.perf_counter()
         fwd = G.select("id", "nbr")
@@ -114,5 +107,5 @@ def nn_descent(
         G.unpersist()
         G = newG
         elapsed += time.perf_counter() - t0
-        history.append({"round": r, "elapsed": elapsed, "recall": rec(G)})
+        history.append({"round": r, "elapsed": elapsed, "recall": recall_or_none(G, truth)})
     return G, history

@@ -55,6 +55,19 @@ def objective_terms(D: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def candidate_matrix(nbrs, labels: np.ndarray) -> np.ndarray:
+    """Alg. 2's Q per row: the distinct ``labels[nbrs]`` of each row, ascending,
+    padded with ``-1`` to an ``(m, max(1, max |Q|))`` int64 matrix (the
+    ``cand`` of :func:`boost_delta_I` and :func:`nearest_among_candidates`).
+    ``nbrs`` holds one neighbour-id array per row, ``None`` for none.
+    """
+    qs = [np.unique(labels[np.asarray([] if a is None else a, dtype=np.int64)]) for a in nbrs]
+    out = np.full((len(qs), max([1, *map(len, qs)])), -1, dtype=np.int64)
+    for i, q in enumerate(qs):
+        out[i, : len(q)] = q
+    return out
+
+
 def boost_delta_I(
     X: np.ndarray,
     labels: np.ndarray,
@@ -273,21 +286,3 @@ def pairwise_topk(
     cols = idx.ravel()
     return ids[rows], ids[cols], d2[rows, cols]
 
-
-def merge_knn_lists(
-    nbrs: np.ndarray, dists: np.ndarray, kappa: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge candidate (nbr, dist) pairs into a top-``kappa`` KNN list.
-
-    Deduplicates neighbours keeping the minimum distance, sorts
-    ascending by (dist, nbr) for determinism, truncates to ``kappa``.
-    """
-    if len(nbrs) == 0:
-        return nbrs.astype(np.int64), dists.astype(np.float64)
-    order = np.lexsort((nbrs, dists))
-    nbrs, dists = nbrs[order], dists[order]
-    _, first = np.unique(nbrs, return_index=True)
-    first.sort()
-    nbrs, dists = nbrs[first], dists[first]
-    order = np.lexsort((nbrs, dists))[:kappa]
-    return nbrs[order].astype(np.int64), dists[order].astype(np.float64)

@@ -94,10 +94,11 @@ def in_cluster_pairs(state: DataFrame, kappa: int, max_cluster: int) -> DataFram
     ``max_cluster`` is an engineering guard (DESIGN.md §3): a cluster
     bloated by a batch boost round is deterministically subsampled so
     the O(s²·d) comparison stays bounded; balanced 2M-tree clusters
-    never hit it.
+    never hit it.  Rows are sorted by ``id``: distances must not depend on row order.
     """
 
     def pairs(pdf: pd.DataFrame) -> pd.DataFrame:
+        pdf = pdf.sort_values("id", ignore_index=True)
         if len(pdf) > max_cluster:
             u = hash_uniforms(pdf["id"].to_numpy(dtype=np.uint64), 4_242)
             pdf = pdf.iloc[np.argsort(u)[:max_cluster]]
@@ -140,7 +141,7 @@ def build_knn_graph(
 
     history: list[dict] = [
         {"round": 0, "elapsed": elapsed, "xi_E": None,
-         "recall": _recall(G, truth)}
+         "recall": recall_or_none(G, truth)}
     ]
     for t in range(1, tau + 1):
         t0 = time.perf_counter()
@@ -156,12 +157,13 @@ def build_knn_graph(
         elapsed += time.perf_counter() - t0
         history.append(
             {"round": t, "elapsed": elapsed, "xi_E": run.final_E,
-             "recall": _recall(G, truth)}
+             "recall": recall_or_none(G, truth)}
         )
     return G, history
 
 
-def _recall(graph_df: DataFrame, truth: pd.DataFrame | None) -> float | None:
+def recall_or_none(graph_df: DataFrame, truth: pd.DataFrame | None) -> float | None:
+    """``metrics.graph_recall``, or ``None`` without a ``truth`` sample."""
     if truth is None:
         return None
     from repro.core.metrics import graph_recall

@@ -4,11 +4,11 @@ init / iteration / total time split, the distortion E, and the KNN-graph
 recall, for KGraph+GK-means, GK-means, and closure k-means — plus the
 paper's "3 years for traditional k-means" extrapolation.
 
-Claims: GK-means has the lowest E and the lowest total time; its Alg.-3
-graph has far lower recall than NN-Descent's yet clusters better
-(it encodes the intermediate cluster structure); closure k-means inits
-fastest but iterates slowest and ends worst; plain k-means is
-orders of magnitude off the chart.
+Claims: GK-means has the lowest E and iterates (``iter_s``) faster than
+KGraph+GK-means; its Alg.-3 graph has lower recall yet clusters better;
+closure k-means inits fastest but iterates slowest and ends worst; plain
+k-means is orders of magnitude off the chart.  Total time is reported,
+not claimed (Alg. 3's init wall-clock is noisy at this scale).
 """
 from __future__ import annotations
 

@@ -1,19 +1,32 @@
 """Tests for GK-means (Alg. 2) — the paper's primary contribution.
 
 Key claims under test: candidate sets really are the neighbour-cluster
-sets Q (checked against a DuckDB SQL oracle); with a good graph the
+sets Q (checked against a DuckDB SQL oracle); graph and state ids
+outside 0..n-1 are rejected; with a good graph the
 quality approaches full BKM while each point visits far fewer than k
 clusters; the boost mode beats the traditional mode (Fig. 4's claim).
 """
 from __future__ import annotations
 
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.bkm import boost_kmeans
-from repro.core.gkmeans import candidate_labels, gk_means
+from repro.common.kernels import candidate_matrix
+from repro.core.gkmeans import gk_means, label_vector, mean_candidates, neighbour_lists
 from repro.core.knn_graph import random_graph
 from repro.oracle import assert_equivalent
+
+
+def _q_sizes(spark, state, graph):
+    """|Q| per id as the move forms it: neighbour lists, label vector and
+    ``candidate_matrix``, as an (id, q) Spark frame."""
+    n = state.count()
+    nbrs = neighbour_lists(graph.select("id", "nbr"), n).toPandas()
+    labels = label_vector(state, n)
+    q = (candidate_matrix(nbrs["nbrs"], labels) >= 0).sum(axis=1)
+    return spark.createDataFrame(pd.DataFrame({"id": nbrs["id"], "q": q}))
 
 
 class TestCandidateLabels:
@@ -22,8 +35,7 @@ class TestCandidateLabels:
         from repro.core.two_means import two_means_tree
 
         state = two_means_tree(spark, feats_small, 8, seed=1)
-        cand = candidate_labels(state, exact_graph.select("id", "nbr"))
-        got = cand.select("id", F.size("cands").alias("q"))
+        got = _q_sizes(spark, state, exact_graph)
         edges = exact_graph.select("id", "nbr").toPandas()
         labels = state.select("id", "label").toPandas()
         assert_equivalent(
@@ -37,10 +49,37 @@ class TestCandidateLabels:
         from repro.core.two_means import two_means_tree
 
         state = two_means_tree(spark, feats_small, 8, seed=2)
-        sizes = candidate_labels(state, exact_graph).select(
-            F.size("cands").alias("s")
-        ).toPandas()["s"]
+        sizes = _q_sizes(spark, state, exact_graph).toPandas()["q"]
         assert sizes.max() <= 5  # kappa of the exact graph
+
+    def test_mean_candidates_is_mean_q(self, spark, feats_small, exact_graph):
+        from repro.core.two_means import two_means_tree
+
+        state = two_means_tree(spark, feats_small, 8, seed=3)
+        nbrs = neighbour_lists(exact_graph.select("id", "nbr"), 600)
+        labels = label_vector(state, 600)
+        want = _q_sizes(spark, state, exact_graph).toPandas()["q"].mean()
+        assert mean_candidates(nbrs, labels) == pytest.approx(want, rel=1e-12)
+
+
+class TestIdValidation:
+    @pytest.mark.parametrize("bad_nbr", [-1, 600])
+    def test_nbr_outside_0_to_n_minus_1_raises(self, spark, feats_small, exact_graph, bad_nbr):
+        bad = exact_graph.withColumn(
+            "nbr", F.when(F.col("id") == 7, F.lit(bad_nbr)).otherwise(F.col("nbr"))
+        )
+        with pytest.raises(ValueError, match="graph ids"):
+            gk_means(spark, feats_small, 8, bad, iters=1, seed=1)
+
+    def test_graph_id_outside_0_to_n_minus_1_raises(self, spark, feats_small, exact_graph):
+        bad = exact_graph.withColumn("id", F.col("id") + 1)
+        with pytest.raises(ValueError, match="graph ids"):
+            gk_means(spark, feats_small, 8, bad, iters=1, seed=1)
+
+    def test_state_ids_other_than_0_to_n_minus_1_raise(self, spark, feats_small):
+        state = feats_small.select((F.col("id") * 2).alias("id"), F.lit(0).alias("label"))
+        with pytest.raises(ValueError, match="state ids"):
+            label_vector(state, 600)
 
 
 class TestGKMeans:

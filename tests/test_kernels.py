@@ -272,33 +272,26 @@ class TestPairwiseTopk:
         assert len(src) == 0
 
 
-class TestMergeKnnLists:
-    def test_dedup_keeps_min(self):
-        nbrs = np.array([3, 1, 3, 2])
-        dists = np.array([5.0, 1.0, 2.0, 4.0])
-        n, d = K.merge_knn_lists(nbrs, dists, kappa=10)
-        assert n.tolist() == [1, 3, 2]
-        assert d.tolist() == [1.0, 2.0, 4.0]
+class TestCandidateMatrix:
+    def test_example(self):
+        labels = np.array([4, 4, 1, 0, 1])
+        cand = K.candidate_matrix([[0, 1, 2], None, [3, 4, 2, 3], []], labels)
+        assert cand.tolist() == [[1, 4], [-1, -1], [0, 1], [-1, -1]]
 
-    def test_truncates_sorted(self):
-        rng = np.random.default_rng(15)
-        nbrs = rng.permutation(50)
-        dists = rng.random(50)
-        n, d = K.merge_knn_lists(nbrs, dists, kappa=5)
-        assert len(n) == 5
-        assert np.all(np.diff(d) >= 0)
-        assert set(d) == set(np.sort(dists)[:5])
+    def test_no_rows(self):
+        assert K.candidate_matrix([], np.array([0, 1])).shape == (0, 1)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 20), st.floats(0, 100)),
-                    min_size=0, max_size=60),
-           st.integers(1, 10))
-    def test_properties(self, pairs, kappa):
-        nbrs = np.array([p[0] for p in pairs], dtype=np.int64)
-        dists = np.array([p[1] for p in pairs], dtype=np.float64)
-        n, d = K.merge_knn_lists(nbrs, dists, kappa)
-        assert len(n) == len(np.unique(n))  # distinct neighbours
-        assert len(n) <= kappa
-        assert np.all(np.diff(d) >= 0)  # sorted
-        if len(pairs):
-            assert d[0] == pytest.approx(dists.min())
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 6), min_size=n, max_size=n),
+        st.lists(st.one_of(st.none(), st.lists(st.integers(0, n - 1), max_size=12)),
+                 max_size=15),
+    )))
+    def test_rows_are_sorted_distinct_neighbour_labels(self, case):
+        labels, nbrs = np.array(case[0]), case[1]
+        cand = K.candidate_matrix(nbrs, labels)
+        assert cand.shape[0] == len(nbrs) and cand.shape[1] >= 1
+        for row, ids in zip(cand, nbrs):
+            q = row[row >= 0]
+            assert np.all(row[len(q):] == -1)  # padding only after Q
+            assert q.tolist() == sorted(set(labels[ids or []].tolist()))

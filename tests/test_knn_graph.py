@@ -106,6 +106,19 @@ class TestInClusterPairs:
             expected = float(((X[r["id"]] - X[r["nbr"]]) ** 2).sum())
             assert r["dist"] == pytest.approx(expected, rel=1e-9)
 
+    def test_independent_of_row_order(self, spark, feats_small):
+        """Bit-equal (id, nbr, dist) whatever the state's row order."""
+        from repro.core.two_means import two_means_tree
+
+        state = two_means_tree(spark, feats_small, 8, seed=1)
+        shuffled = state.repartition(7, F.col("features")[0])
+
+        def edges(st):
+            pdf = in_cluster_pairs(st, kappa=20, max_cluster=1000).toPandas()
+            return pdf.sort_values(["id", "nbr"], ignore_index=True)
+
+        pd.testing.assert_frame_equal(edges(state), edges(shuffled), check_exact=True)
+
     def test_max_cluster_guard(self, spark, feats_small):
         state = feats_small.select("id", "features").withColumn(
             "label", F.lit(0).cast("long")

@@ -54,14 +54,21 @@ class TestGraphQueriesOracle:
         )
 
     def test_closure_candidates_match_sql(self, spark, feats_small):
-        """Closure k-means' candidate relation (two joins) vs DuckDB."""
-        from repro.baselines.closure import build_rp_trees, closure_candidates
+        """Closure sizes from ``cell_neighbours`` + the label vector vs
+        DuckDB's two joins."""
+        import pandas as pd
+
+        from repro.baselines.closure import build_rp_trees, cell_neighbours
+        from repro.common.kernels import candidate_matrix
         from repro.core.bkm import random_partition
+        from repro.core.gkmeans import label_vector
 
         cells = build_rp_trees(spark, feats_small, n_trees=2, leaf_size=20, seed=5)
         lab = random_partition(feats_small, 6, seed=5).select("id", "label")
-        got = closure_candidates(cells, lab).select(
-            "id", F.size("cands").alias("n_cand")
+        nbrs = cell_neighbours(cells, 600).toPandas()
+        cand = candidate_matrix(nbrs["nbrs"], label_vector(lab, 600))
+        got = spark.createDataFrame(
+            pd.DataFrame({"id": nbrs["id"], "n_cand": (cand >= 0).sum(axis=1)})
         )
         assert_equivalent(
             got,
@@ -73,4 +80,18 @@ class TestGraphQueriesOracle:
                FROM cells c JOIN cl ON c.tree = cl.tree AND c.cell = cl.cell
                GROUP BY c.id""",
             cells=cells.toPandas(), lab=lab.toPandas(),
+        )
+
+    def test_cell_neighbours_match_sql(self, spark, feats_small):
+        """``cell_neighbours`` lists every (id, peer) pair sharing a cell,
+        once per tree, self included (cells ⋈ cells)."""
+        from repro.baselines.closure import build_rp_trees, cell_neighbours
+
+        cells = build_rp_trees(spark, feats_small, n_trees=3, leaf_size=15, seed=6)
+        got = cell_neighbours(cells, 600).select("id", F.explode("nbrs").alias("nbr"))
+        assert_equivalent(
+            got,
+            """SELECT a.id, b.id AS nbr
+               FROM cells a JOIN cells b ON a.tree = b.tree AND a.cell = b.cell""",
+            cells=cells.toPandas(),
         )
