@@ -12,8 +12,9 @@ Figs. 5-7).
 
 Implementation: trees are built level-wise (one ``applyInPandas`` group
 per (tree, cell), balanced median splits on hashed random directions);
-at init ``cell_neighbours`` lists the ids sharing a cell with each point,
-and GK-means' ``candidate_move`` forms the closure from those lists.
+at init the ids sharing a cell with each point (``cell_neighbours``) are
+joined onto the start rows, and GK-means' ``candidate_move`` forms the
+closure from them.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from repro.common.result import ClusterRun
 from repro.common.stats import sum_sq_norms
 from repro.common.vectors import splitmix64, to_matrix
 from repro.core.bkm import iterate
-from repro.core.gkmeans import candidate_move, label_vector, mean_candidates, neighbour_lists
+from repro.core.gkmeans import candidate_move, mean_candidates, neighbour_lists, with_neighbours
 
 _TREE_SCHEMA = "id long, features array<double>, tree int, cell long"
 
@@ -134,25 +135,20 @@ def closure_kmeans(
         leaf_size = int(np.clip(round(n / k), 2, 64))
     leaf_size = min(leaf_size, max(1, n // k))  # ensure >= k cells exist
     extra: dict = {"leaf_size": leaf_size, "n_trees": n_trees}
-    nbrs_df = None
+    rows: list[DataFrame] = []  # the pass rows, which the first move's |Q| average reads
 
     def start():
-        nonlocal nbrs_df
         cells = build_rp_trees(
             spark, feats, n_trees=n_trees, leaf_size=leaf_size, seed=seed
         )
-        nbrs_df = cell_neighbours(cells, n)
-        labels = initial_labels_from_tree(cells, k)
-        return feats.join(labels, on="id").select(
-            "id", "features", F.col("label").cast("long").alias("label")
-        ).localCheckpoint(eager=True)
+        state = feats.join(initial_labels_from_tree(cells, k), on="id")
+        rows.append(with_neighbours(state, cell_neighbours(cells, n)))
+        cells.unpersist()
+        return rows[0]
 
-    def move(state, counts, sums):
-        labels = label_vector(state, n)
+    def move(labels, counts, sums):
         if "mean_candidates" not in extra:
-            extra["mean_candidates"] = mean_candidates(nbrs_df, labels)
-        return candidate_move(state, nbrs_df, labels, counts, sums, boost=False)
+            extra["mean_candidates"] = mean_candidates(rows[0], labels)
+        return candidate_move(labels, counts, sums, boost=False)
 
-    run = iterate(start, k, (S, n), iters=iters, rel_tol=rel_tol, step=move, extra=extra)
-    nbrs_df.unpersist()
-    return run
+    return iterate(start, k, (S, n), iters=iters, rel_tol=rel_tol, step=move, extra=extra)

@@ -1,10 +1,12 @@
 """Traditional k-means (Lloyd, 1982) on DataFrames — the paper's "k-means".
 
-Assignment broadcasts the (k, d) centroid matrix into a ``mapInPandas``
-argmin kernel; the update step reuses the treeAggregate-style
-``cluster_stats``.  Per-iteration cost is ``O(n·d·k)`` — the bottleneck
-the paper attacks.  Initial centroids are k distinct samples picked by
-a seeded hash order (the classical Forgy init).
+Assignment is an argmin kernel against the (k, d) centroid matrix: a
+``mapInPandas`` for the start state, then the per-batch ``relabel`` of
+each iteration's treeAggregate-style ``cluster_stats`` pass, which also
+reduces the statistics of the next centroids.  Per-iteration cost is
+``O(n·d·k)`` — the bottleneck the paper attacks.  Initial centroids are
+k distinct samples picked by a seeded hash order (the classical Forgy
+init).
 """
 from __future__ import annotations
 
@@ -80,11 +82,12 @@ def lloyd_kmeans(
         centroids.append(C)
         return assign_to_centroids(feats, C).localCheckpoint(eager=True)
 
-    def reassign(state, counts, sums):
+    def reassign(labels, counts, sums):
         newC, nonempty = centroids_from_stats(counts, sums)
         # an empty cluster keeps its previous centroid
-        centroids.append(np.where(nonempty[:, None], newC, centroids[-1]))
-        return assign_to_centroids(feats, centroids[-1])
+        C = np.where(nonempty[:, None], newC, centroids[-1])
+        centroids.append(C)
+        return lambda pdf, X: assign_nearest(X, C)[0]
 
     run = iterate(start, k, sum_sq_norms(feats), iters=iters, rel_tol=rel_tol, step=reassign)
     run.extra["centroids"] = centroids[len(run.history) - 1]

@@ -2,10 +2,11 @@
 
 All methods (Lloyd, BKM, Mini-Batch, closure k-means, GK-means) return a
 :class:`ClusterRun` so the experiment harnesses can time/compare them
-identically.  ``history`` rows carry *algorithm* seconds only — the
-distortion bookkeeping itself is free for boost-style methods via the
-identity ``E = (sum ||x||^2 - I) / n`` and excluded from timings for the
-others.
+identically.  ``history`` rows carry *algorithm* seconds only.  For the
+methods driven by ``core.bkm.iterate`` the distortion bookkeeping is
+free: each iteration's one ``cluster_stats`` pass yields I, hence
+``E = (sum ||x||^2 - I) / n``, alongside the moved labels; Mini-Batch
+excludes its evaluations from the timings.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ class ClusterRun:
     history: one dict per state the run kept, ``history[0]`` the start.
         Methods driven by ``core.bkm.iterate`` (Lloyd, BKM, GK-means,
         closure k-means) record ``{iter, elapsed, E, nonempty}``:
-        ``elapsed`` is the cumulative algorithm seconds when the state's
-        statistics were reduced, ``E`` its distortion and ``nonempty``
-        its count of non-empty clusters.  Mini-Batch records
+        ``elapsed`` is the cumulative algorithm seconds when the labels'
+        statistics were reduced, ``E`` their distortion and ``nonempty``
+        their count of non-empty clusters.  Mini-Batch records
         ``{iter, elapsed, E}`` at its evaluation points.  ``final_E`` is
         the last row's ``E``.
     init_s / iter_s: wall seconds split as the paper's Tab. 2 does.

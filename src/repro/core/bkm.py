@@ -11,7 +11,8 @@ statistics.  Per-iteration cost is ``O(n·d·k)`` — the same level as
 traditional k-means, which is exactly why the paper needs GK-means.
 
 :func:`iterate` is the loop of BKM, GK-means (Alg. 2), closure k-means
-and Lloyd: they differ only in their start state and their move step.
+and Lloyd: they differ only in their start rows and their move, which
+relabels each batch of an iteration's one ``cluster_stats`` pass.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from repro.common.kernels import boost_best_move_full
 from repro.common.result import ClusterRun
 # Called by these module-level names, which perfbench/spans.py patches to trace every method.
 from repro.common.stats import cluster_stats, objective_from_stats, sum_sq_norms
-from repro.common.vectors import hash_choice, to_matrix
+from repro.common.vectors import hash_choice
 from repro.core.two_means import STATE_SCHEMA, two_means_tree
 
 
@@ -36,42 +37,41 @@ def iterate(
     *,
     iters: int,
     rel_tol: float,
-    step: Callable[[DataFrame, np.ndarray, np.ndarray], DataFrame],
+    step: Callable[[np.ndarray, np.ndarray, np.ndarray], Callable],
     extra: dict | None = None,
 ) -> ClusterRun:
-    """Run ``step`` from the state ``start()`` builds; returns a :class:`ClusterRun`.
+    """Run ``step`` from the rows ``start()`` builds; returns a :class:`ClusterRun`.
 
     ``sq_norms`` is ``(S, n)`` with ``S = sum ||x||^2``.  ``start()`` runs
-    after ``k <= n`` is checked and is timed as Init.  Each iteration
-    reduces the cluster statistics of the current state, records a
-    history row ``{iter, elapsed, E, nonempty}`` (E from ``(S - I) / n``,
-    ``nonempty`` from the counts) and stops after ``iters`` moves or when
-    I rose by at most ``rel_tol`` (relative).  Otherwise the next state is
-    ``step(state, counts, sums)``, checkpointed.  If a step lowered I, the
-    previous state is still cached: it is returned, and the history ends
-    at its row, so ``final_E`` is the E of the returned state.
+    after ``k <= n`` is checked, is timed as Init and returns checkpointed
+    ``(id, features, label, ...)`` rows, read-only, unpersisted at the end.
+    Each iteration is one ``cluster_stats`` pass over them: the first
+    reduces their labels, later ones move with ``relabel=step(labels,
+    counts, sums)`` from the last pass (``labels[i]`` is id ``i``'s label).
+    Each pass records a history row ``{iter, elapsed, E, nonempty}`` (E
+    from ``(S - I) / n``, ``nonempty`` from the counts); the run stops
+    after ``iters`` moves or when I rose by at most ``rel_tol`` (relative).
+    If a move lowered I, the labels before it are kept and the history
+    ends at their row.  The returned state is built from the kept labels.
     """
     S, n = sq_norms
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
     t0 = time.perf_counter()
-    state = start()
+    rows = start()
     init_s = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
+    stats = cluster_stats(rows, k)
+    iter_s = time.perf_counter() - t0
     history: list[dict] = []
-    iter_s = 0.0
-    prev_state, prev_I = None, -np.inf
+    kept, prev_I = stats, -np.inf
     for it in range(iters + 1):
-        t0 = time.perf_counter()
-        counts, sums = cluster_stats(state, k)
+        counts, sums, labels = stats
         I = objective_from_stats(counts, sums)
-        iter_s += time.perf_counter() - t0
-        if I < prev_I:  # the last step made it worse: keep the state before it
-            state.unpersist()
-            state = prev_state
+        if I < prev_I:  # the last move made it worse: keep the labels before it
             break
-        if prev_state is not None:
-            prev_state.unpersist()
+        kept = stats
         history.append({"iter": it, "elapsed": iter_s, "E": (S - I) / n,
                         "nonempty": int(np.count_nonzero(counts))})
         if it == iters or I - prev_I <= rel_tol * max(1.0, abs(I)):
@@ -79,36 +79,32 @@ def iterate(
         prev_I = I
 
         t0 = time.perf_counter()
-        prev_state = state
-        state = step(state, counts, sums).localCheckpoint(eager=True)
+        stats = cluster_stats(rows, k, relabel=step(labels, counts, sums))
         iter_s += time.perf_counter() - t0
 
+    t0 = time.perf_counter()
+    state = label_rows(rows, lambda ids: kept[2][ids]).localCheckpoint(eager=True)
+    rows.unpersist()
+    iter_s += time.perf_counter() - t0
     return ClusterRun(state=state, k=k, history=history, init_s=init_s, iter_s=iter_s,
                       extra={} if extra is None else extra)
 
 
-def random_partition(feats_df: DataFrame, k: int, seed: int) -> DataFrame:
-    """Balanced-in-expectation random k-partition: label = hash(id) mod-ish k."""
+def label_rows(df: DataFrame, label_of: Callable[[np.ndarray], np.ndarray]) -> DataFrame:
+    """Lazy ``(id, features, label)`` rows of ``df``, labelled ``label_of(ids)`` per batch."""
 
     def gen(batches):
         for pdf in batches:
-            ids = pdf["id"].to_numpy(dtype=np.int64)
             out = pdf[["id", "features"]].copy()
-            out["label"] = hash_choice(ids, k, seed + 7_777)
+            out["label"] = label_of(pdf["id"].to_numpy(dtype=np.int64))
             yield out
 
-    return feats_df.select("id", "features").mapInPandas(gen, STATE_SCHEMA)
+    return df.select("id", "features").mapInPandas(gen, STATE_SCHEMA)
 
 
-def initial_partition(
-    spark: SparkSession, feats_df: DataFrame, k: int, init: str, seed: int
-) -> DataFrame:
-    """Checkpointed start state of BKM and GK-means: ``"random"`` or ``"2m"`` tree."""
-    if init == "random":
-        return random_partition(feats_df, k, seed).localCheckpoint(eager=True)
-    if init == "2m":
-        return two_means_tree(spark, feats_df, k, seed=seed)
-    raise ValueError(f"unknown init {init!r}")
+def random_partition(feats_df: DataFrame, k: int, seed: int) -> DataFrame:
+    """Balanced-in-expectation random k-partition: label = hash(id) mod-ish k."""
+    return label_rows(feats_df, lambda ids: hash_choice(ids, k, seed + 7_777))
 
 
 def boost_kmeans(
@@ -136,21 +132,22 @@ def boost_kmeans(
     """
     feats = feats_df.select("id", "features").localCheckpoint(eager=True)
 
-    def move(state, counts, sums):
-        def best_moves(batches):
-            for pdf in batches:
-                if len(pdf) == 0:
-                    continue
-                X = to_matrix(pdf["features"])
-                lab = pdf["label"].to_numpy(dtype=np.int64)
-                tgt, delta = boost_best_move_full(X, lab, sums, counts)
-                out = pdf.copy()
-                out["label"] = np.where(delta > 0, tgt, lab)
-                yield out
+    def move(labels, counts, sums):
+        def relabel(pdf, X):
+            lab = labels[pdf["id"].to_numpy()]
+            tgt, delta = boost_best_move_full(X, lab, sums, counts)
+            return np.where(delta > 0, tgt, lab)
 
-        return state.mapInPandas(best_moves, STATE_SCHEMA)
+        return relabel
+
+    def start():
+        if init == "random":
+            return random_partition(feats, k, seed).localCheckpoint(eager=True)
+        if init == "2m":
+            return two_means_tree(spark, feats, k, seed=seed)
+        raise ValueError(f"unknown init {init!r}")
 
     return iterate(
-        lambda: initial_partition(spark, feats, k, init, seed), k, sum_sq_norms(feats),
+        start, k, sum_sq_norms(feats),
         iters=iters, rel_tol=rel_tol, step=move,
     )

@@ -5,16 +5,16 @@ point's κ nearest neighbours (from an approximate KNN graph) currently
 live.  Per-iteration cost drops from ``O(n·d·k)`` to ``O(n·d·κ)``,
 κ ≪ k, which is the paper's speed-up.
 
-Dataflow: once per call, the graph's edges become checkpointed
-``(id, nbrs array<long>)`` lists (``neighbour_lists``).  Per iteration:
-
-1. ``cluster_stats`` — frozen composite vectors/sizes (treeAggregate).
-2. ``label_vector`` — the state's labels as an n-vector indexed by id.
-3. one join, state ⋈ nbrs on id; a ``mapInPandas`` kernel forms Q of
-   Alg. 2 lines 6-11, the distinct labels of a point's neighbours
-   (``kernels.candidate_matrix``; ``|Q|`` is usually well below κ), and
-   picks the best move: Eqn. 3 (``mode="boost"``) or the nearest
-   candidate centroid (``mode="traditional"``, the paper's "GK-means−").
+Dataflow: once per call, the graph's edges become ``(id, nbrs
+array<long>)`` lists (``neighbour_lists``) joined onto the 2M-tree start
+state; every pass of ``core.bkm.iterate`` reads these checkpointed rows.
+An iteration is one ``cluster_stats`` pass, whose ``relabel`` is the move
+(``candidate_move``): against the last pass's frozen composite vectors,
+sizes and label n-vector, it forms Q of Alg. 2 lines 6-11, the distinct
+labels of a row's ``nbrs`` (``kernels.candidate_matrix``; ``|Q|`` is
+usually well below κ), and picks the best move: Eqn. 3 (``mode="boost"``)
+or the nearest candidate centroid (``mode="traditional"``, the paper's
+"GK-means−").  The pass then reduces the new labels.
 
 Initialisation is the two-means tree, as in Alg. 2 line 3.  The
 sequential-to-batch adaptation is the same as in ``core.bkm``
@@ -30,13 +30,12 @@ from pyspark.sql import functions as F
 from repro.common.kernels import boost_delta_I, candidate_matrix, nearest_among_candidates
 from repro.common.result import ClusterRun
 from repro.common.stats import centroids_from_stats, sum_sq_norms
-from repro.common.vectors import to_matrix
-from repro.core.bkm import initial_partition, iterate
-from repro.core.two_means import STATE_SCHEMA
+from repro.core.bkm import iterate
+# Called by this module-level name, which perfbench/spans.py patches.
+from repro.core.two_means import two_means_tree
 
-# Not called here; kept importable because perfbench/spans.py patches them in this module.
+# Not called here; kept importable because perfbench/spans.py patches it in this module.
 from repro.common.stats import cluster_stats  # noqa: F401
-from repro.core.two_means import two_means_tree  # noqa: F401
 
 
 def neighbour_lists(pairs: DataFrame, n: int) -> DataFrame:
@@ -55,55 +54,46 @@ def neighbour_lists(pairs: DataFrame, n: int) -> DataFrame:
     return lists
 
 
-def label_vector(state: DataFrame, n: int) -> np.ndarray:
-    """The state's labels indexed by id (one small Spark job); ids must be 0..n-1."""
-    pdf = state.select("id", "label").toPandas().sort_values("id")
-    if not np.array_equal(pdf["id"].to_numpy(), np.arange(n)):
-        raise ValueError(f"state ids must be exactly 0..{n - 1}")
-    return pdf["label"].to_numpy(dtype=np.int64)
-
-
-def mean_candidates(nbrs_df: DataFrame, labels: np.ndarray) -> float:
-    """Average |Q| over the ids of ``nbrs_df``, which all have a neighbour (one Spark job)."""
+def mean_candidates(df: DataFrame, labels: np.ndarray) -> float:
+    """Average |Q| over the rows of ``df`` that have ``nbrs`` (one Spark job)."""
 
     def sizes(batches):
         for pdf in batches:
             yield pd.DataFrame({"q": (candidate_matrix(pdf["nbrs"], labels) >= 0).sum(axis=1)})
 
-    q = nbrs_df.mapInPandas(sizes, "q long").toPandas()["q"]
+    q = df.select("nbrs").dropna().mapInPandas(sizes, "q long").toPandas()["q"]
     return float(q.mean()) if len(q) else 0.0
 
 
-def candidate_move(
-    state: DataFrame, nbrs_df: DataFrame, labels: np.ndarray, counts: np.ndarray,
-    sums: np.ndarray, boost: bool,
-) -> DataFrame:
-    """One move pass in which each point only considers the clusters Q of
-    its ``nbrs``, formed from the label vector ``labels``.
+def candidate_move(labels: np.ndarray, counts: np.ndarray, sums: np.ndarray, boost: bool):
+    """The move in which each point only considers the clusters Q of its
+    row's ``nbrs``, formed from the label vector ``labels``.
 
     ``boost``: the best positive Eqn.-3 move (GK-means); otherwise the
     nearest candidate centroid (GK-means−, closure k-means).  A point
-    with no ``nbrs_df`` row keeps its label.  Returns the lazy next state.
+    without ``nbrs`` keeps its label.  Returns ``cluster_stats``' per-batch
+    ``relabel`` function.
     """
     C = None if boost else centroids_from_stats(counts, sums)[0]
 
-    def move(batches):
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            X = to_matrix(pdf["features"])
-            lab = pdf["label"].to_numpy(dtype=np.int64)
-            cand = candidate_matrix(pdf["nbrs"], labels)
-            if boost:
-                tgt, delta = boost_delta_I(X, lab, cand, sums, counts)
-                new = np.where(delta > 0, tgt, lab)
-            else:
-                new = nearest_among_candidates(X, lab, cand, C)
-            out = pdf[["id", "features"]].copy()
-            out["label"] = new
-            yield out
+    def relabel(pdf, X):
+        lab = labels[pdf["id"].to_numpy()]
+        cand = candidate_matrix(pdf["nbrs"], labels)
+        if boost:
+            tgt, delta = boost_delta_I(X, lab, cand, sums, counts)
+            return np.where(delta > 0, tgt, lab)
+        return nearest_among_candidates(X, lab, cand, C)
 
-    return state.join(nbrs_df, on="id", how="left").mapInPandas(move, STATE_SCHEMA)
+    return relabel
+
+
+def with_neighbours(state: DataFrame, nbrs_df: DataFrame) -> DataFrame:
+    """Checkpointed ``state`` rows, each with its ``nbrs`` (null for none);
+    unpersists both inputs."""
+    rows = state.join(nbrs_df, on="id", how="left").localCheckpoint(eager=True)
+    state.unpersist()
+    nbrs_df.unpersist()
+    return rows
 
 
 def gk_means(
@@ -115,8 +105,6 @@ def gk_means(
     mode: str = "boost",
     iters: int = 20,
     seed: int = 0,
-    init: str = "2m",
-    init_state_df: DataFrame | None = None,
     rel_tol: float = 1e-9,
     track_candidates: bool = False,
     sq_norms: tuple[float, int] | None = None,
@@ -124,7 +112,6 @@ def gk_means(
     """Cluster ``feats_df`` into k clusters guided by ``graph_df`` (id, nbr);
     all ids must be 0..n-1, or ``ValueError`` is raised before the first move.
 
-    ``init_state_df`` (id, features, label) bypasses initialisation (tests).
     ``history`` as in ``core.bkm``; ``extra["mean_candidates"]`` (with
     ``track_candidates=True``) is the average |Q| at the first move, the
     paper's "number of clusters one sample actually visits".  ``sq_norms``:
@@ -140,21 +127,16 @@ def gk_means(
         feats = feats_df.select("id", "features")
     n = sq_norms[1]
     extra: dict = {}
-    nbrs_df = None
+    rows: list[DataFrame] = []  # the pass rows, which the |Q| average reads
 
     def start():
-        nonlocal nbrs_df
         nbrs_df = neighbour_lists(graph_df.select("id", "nbr"), n)
-        if init_state_df is not None:
-            return init_state_df
-        return initial_partition(spark, feats, k, init, seed)
+        rows.append(with_neighbours(two_means_tree(spark, feats, k, seed=seed), nbrs_df))
+        return rows[0]
 
-    def move(state, counts, sums):
-        labels = label_vector(state, n)
+    def move(labels, counts, sums):
         if track_candidates and "mean_candidates" not in extra:
-            extra["mean_candidates"] = mean_candidates(nbrs_df, labels)
-        return candidate_move(state, nbrs_df, labels, counts, sums, boost=mode == "boost")
+            extra["mean_candidates"] = mean_candidates(rows[0], labels)
+        return candidate_move(labels, counts, sums, boost=mode == "boost")
 
-    run = iterate(start, k, sq_norms, iters=iters, rel_tol=rel_tol, step=move, extra=extra)
-    nbrs_df.unpersist()
-    return run
+    return iterate(start, k, sq_norms, iters=iters, rel_tol=rel_tol, step=move, extra=extra)

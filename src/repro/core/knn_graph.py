@@ -147,7 +147,7 @@ def build_knn_graph(
         t0 = time.perf_counter()
         run = gk_means(
             spark, feats, k0, G,
-            iters=boost_iters, seed=seed * 1009 + t, init="2m", sq_norms=sq,
+            iters=boost_iters, seed=seed * 1009 + t, sq_norms=sq,
         )
         pairs = in_cluster_pairs(run.state, kappa, max_cluster)
         newG = top_kappa(G.unionByName(pairs), kappa).localCheckpoint(eager=True)

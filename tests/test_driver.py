@@ -3,12 +3,14 @@ contract every method it drives keeps: Lloyd, BKM, GK-means in both
 modes and closure k-means."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
-from pyspark.sql import functions as F
 
 from repro.baselines.closure import closure_kmeans
 from repro.baselines.lloyd import lloyd_kmeans
 from repro.common.stats import distortion_from_state, sum_sq_norms
+from repro.common.vectors import hash_choice
 from repro.core.bkm import boost_kmeans, iterate
 from repro.core.gkmeans import gk_means
 from repro.core.two_means import two_means_tree
@@ -47,9 +49,9 @@ class TestIterate:
         want = state0.select("id", "label").toPandas().sort_values("id")
         calls = []
 
-        def scramble(state, counts, sums):
+        def scramble(labels, counts, sums):
             calls.append(1)
-            return state.withColumn("label", F.pmod(F.xxhash64("id"), F.lit(k)))
+            return lambda pdf, X: hash_choice(pdf["id"].to_numpy(), k, 11)
 
         run = iterate(lambda: state0, k, sum_sq_norms(feats_small),
                       iters=3, rel_tol=0.0, step=scramble)
@@ -66,7 +68,40 @@ class TestIterate:
         with pytest.raises(ValueError, match="exceeds"):
             iterate(start, 11, (1.0, 10), iters=1, rel_tol=0.0, step=None)
 
-    def test_gk_means_random_init_k_above_n_raises(self, spark, feats_small, exact_graph):
-        small = feats_small.limit(5).localCheckpoint(eager=True)
-        with pytest.raises(ValueError, match="exceeds"):
-            gk_means(spark, small, 10, exact_graph, init="random", iters=1)
+
+_GROUPS = itertools.count()
+
+
+def _jobs_of(spark, call):
+    """``(call(), Spark jobs it ran)``, counted in a job group of its own
+    after the listener bus has delivered every event."""
+    sc = spark.sparkContext
+    group = f"test-driver-{next(_GROUPS)}"
+    sc.setJobGroup(group, "one call")
+    try:
+        run = call()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return run, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+ONE_PASS = {
+    "bkm": lambda spark, feats, g, iters: boost_kmeans(spark, feats, 20, iters=iters, seed=1),
+    "gkmeans": lambda spark, feats, g, iters: gk_means(spark, feats, 20, g, iters=iters, seed=1),
+    "closure": lambda spark, feats, g, iters: closure_kmeans(spark, feats, 20, iters=iters, seed=1),
+}
+
+
+@pytest.mark.parametrize("method", sorted(ONE_PASS))
+def test_each_move_is_one_spark_job(spark, feats_small, exact_graph, method):
+    """Two more moves cost exactly two more Spark jobs: a move and the
+    statistics of its result are one ``cluster_stats`` pass."""
+    def call(iters):
+        return _jobs_of(spark, lambda: ONE_PASS[method](spark, feats_small, exact_graph, iters))
+
+    run3, jobs3 = call(3)
+    assert len(run3.history) == 4  # every move kept
+    run1, jobs1 = call(1)
+    assert len(run1.history) == 2
+    assert jobs3 - jobs1 == 2

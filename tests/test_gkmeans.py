@@ -14,17 +14,17 @@ from pyspark.sql import functions as F
 
 from repro.core.bkm import boost_kmeans
 from repro.common.kernels import candidate_matrix
-from repro.core.gkmeans import gk_means, label_vector, mean_candidates, neighbour_lists
+from repro.common.stats import cluster_stats
+from repro.core.gkmeans import gk_means, mean_candidates, neighbour_lists
 from repro.core.knn_graph import random_graph
 from repro.oracle import assert_equivalent
 
 
-def _q_sizes(spark, state, graph):
+def _q_sizes(spark, state, k, graph):
     """|Q| per id as the move forms it: neighbour lists, label vector and
     ``candidate_matrix``, as an (id, q) Spark frame."""
-    n = state.count()
-    nbrs = neighbour_lists(graph.select("id", "nbr"), n).toPandas()
-    labels = label_vector(state, n)
+    labels = cluster_stats(state, k)[2]
+    nbrs = neighbour_lists(graph.select("id", "nbr"), len(labels)).toPandas()
     q = (candidate_matrix(nbrs["nbrs"], labels) >= 0).sum(axis=1)
     return spark.createDataFrame(pd.DataFrame({"id": nbrs["id"], "q": q}))
 
@@ -35,7 +35,7 @@ class TestCandidateLabels:
         from repro.core.two_means import two_means_tree
 
         state = two_means_tree(spark, feats_small, 8, seed=1)
-        got = _q_sizes(spark, state, exact_graph)
+        got = _q_sizes(spark, state, 8, exact_graph)
         edges = exact_graph.select("id", "nbr").toPandas()
         labels = state.select("id", "label").toPandas()
         assert_equivalent(
@@ -49,7 +49,7 @@ class TestCandidateLabels:
         from repro.core.two_means import two_means_tree
 
         state = two_means_tree(spark, feats_small, 8, seed=2)
-        sizes = _q_sizes(spark, state, exact_graph).toPandas()["q"]
+        sizes = _q_sizes(spark, state, 8, exact_graph).toPandas()["q"]
         assert sizes.max() <= 5  # kappa of the exact graph
 
     def test_mean_candidates_is_mean_q(self, spark, feats_small, exact_graph):
@@ -57,8 +57,8 @@ class TestCandidateLabels:
 
         state = two_means_tree(spark, feats_small, 8, seed=3)
         nbrs = neighbour_lists(exact_graph.select("id", "nbr"), 600)
-        labels = label_vector(state, 600)
-        want = _q_sizes(spark, state, exact_graph).toPandas()["q"].mean()
+        labels = cluster_stats(state, 8)[2]
+        want = _q_sizes(spark, state, 8, exact_graph).toPandas()["q"].mean()
         assert mean_candidates(nbrs, labels) == pytest.approx(want, rel=1e-12)
 
 
@@ -77,9 +77,10 @@ class TestIdValidation:
             gk_means(spark, feats_small, 8, bad, iters=1, seed=1)
 
     def test_state_ids_other_than_0_to_n_minus_1_raise(self, spark, feats_small):
-        state = feats_small.select((F.col("id") * 2).alias("id"), F.lit(0).alias("label"))
+        state = feats_small.select(
+            (F.col("id") * 2).alias("id"), "features", F.lit(0).cast("long").alias("label"))
         with pytest.raises(ValueError, match="state ids"):
-            label_vector(state, 600)
+            cluster_stats(state, 1)[2]
 
 
 class TestGKMeans:
@@ -124,17 +125,6 @@ class TestGKMeans:
         run = gk_means(spark, feats_small, 10, g, iters=5, seed=7)
         assert run.final_E <= run.history[0]["E"]
 
-    def test_init_state_bypass(self, spark, feats_small, exact_graph):
-        from repro.core.two_means import two_means_tree
-
-        state0 = two_means_tree(spark, feats_small, 6, seed=8)
-        run = gk_means(
-            spark, feats_small, 6, exact_graph, iters=3, seed=8,
-            init_state_df=state0,
-        )
-        assert run.init_s < 0.5  # no 2M tree built inside
-        assert run.final_E <= run.history[0]["E"]
-
     def test_sq_norms_shortcut_same_result(self, spark, feats_small, exact_graph):
         from repro.common.stats import sum_sq_norms
 
@@ -148,10 +138,6 @@ class TestGKMeans:
     def test_bad_mode_raises(self, spark, feats_small, exact_graph):
         with pytest.raises(ValueError, match="unknown mode"):
             gk_means(spark, feats_small, 4, exact_graph, mode="x")
-
-    def test_bad_init_raises(self, spark, feats_small, exact_graph):
-        with pytest.raises(ValueError, match="unknown init"):
-            gk_means(spark, feats_small, 4, exact_graph, init="x")
 
     def test_all_points_retained(self, spark, feats_small, exact_graph):
         run = gk_means(spark, feats_small, 8, exact_graph, iters=4, seed=10)

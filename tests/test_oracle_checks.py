@@ -61,12 +61,13 @@ class TestGraphQueriesOracle:
         from repro.baselines.closure import build_rp_trees, cell_neighbours
         from repro.common.kernels import candidate_matrix
         from repro.core.bkm import random_partition
-        from repro.core.gkmeans import label_vector
+        from repro.common.stats import cluster_stats
 
         cells = build_rp_trees(spark, feats_small, n_trees=2, leaf_size=20, seed=5)
-        lab = random_partition(feats_small, 6, seed=5).select("id", "label")
+        state = random_partition(feats_small, 6, seed=5)
+        lab = state.select("id", "label")
         nbrs = cell_neighbours(cells, 600).toPandas()
-        cand = candidate_matrix(nbrs["nbrs"], label_vector(lab, 600))
+        cand = candidate_matrix(nbrs["nbrs"], cluster_stats(state, 6)[2])
         got = spark.createDataFrame(
             pd.DataFrame({"id": nbrs["id"], "n_cand": (cand >= 0).sum(axis=1)})
         )

@@ -42,3 +42,28 @@ def test_build_knn_graph_returns_long_edges(spark, feats_small):
 
     graph, _ = build_knn_graph(spark, feats_small, 4, xi=20, tau=1, seed=1)
     assert graph.columns == ["id", "nbr", "dist"]
+
+
+@pytest.mark.parametrize("method", ["bkm", "gkmeans"])
+def test_iterations_reduce_through_patched_cluster_stats(spark, feats_small, exact_graph,
+                                                         monkeypatch, method):
+    """The tracer wraps ``repro.core.bkm.cluster_stats``, and the per-layer
+    split reads the non-empty count from the spans whose first result has
+    length k: every run must reduce through that attribute and return the
+    ``(k,)`` counts first."""
+    from repro.core import bkm, gkmeans
+
+    k, calls = 8, []
+    orig = bkm.cluster_stats
+
+    def recorder(*args, **kwargs):
+        calls.append(orig(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(bkm, "cluster_stats", recorder)
+    if method == "bkm":
+        bkm.boost_kmeans(spark, feats_small, k, iters=2, seed=1)
+    else:
+        gkmeans.gk_means(spark, feats_small, k, exact_graph, iters=2, seed=1)
+    assert calls
+    assert all(res[0].shape == (k,) for res in calls)

@@ -26,7 +26,7 @@ def labeled_state(spark, feats_small):
 class TestClusterStats:
     def test_counts_match_groupby_oracle(self, spark, labeled_state):
         """Spark per-cluster sizes == DuckDB GROUP BY over the same rows."""
-        counts, _ = S.cluster_stats(labeled_state, 7)
+        counts, _, _ = S.cluster_stats(labeled_state, 7)
         got = spark.createDataFrame(
             pd.DataFrame({"label": range(7), "cnt": counts.astype("int64")})
         )
@@ -38,7 +38,7 @@ class TestClusterStats:
         )
 
     def test_sums_match_pandas(self, labeled_state):
-        counts, sums = S.cluster_stats(labeled_state, 7)
+        counts, sums, _ = S.cluster_stats(labeled_state, 7)
         pdf = labeled_state.toPandas()
         X = to_matrix(pdf["features"])
         lab = pdf["label"].to_numpy()
@@ -47,17 +47,35 @@ class TestClusterStats:
             assert counts[r] == (lab == r).sum()
 
     def test_total_count_is_n(self, labeled_state):
-        counts, _ = S.cluster_stats(labeled_state, 7)
+        counts, _, _ = S.cluster_stats(labeled_state, 7)
         assert counts.sum() == labeled_state.count()
 
     def test_empty_cluster_rows_zero(self, spark, feats_small):
         state = feats_small.select("id", "features").withColumn(
             "label", F.lit(3).cast("long")
         )
-        counts, sums = S.cluster_stats(state, 5)
+        counts, sums, _ = S.cluster_stats(state, 5)
         assert counts[3] == feats_small.count()
         for r in (0, 1, 2, 4):
             assert counts[r] == 0 and np.allclose(sums[r], 0)
+
+    def test_labels_and_relabel_match_numpy(self, labeled_state):
+        """``labels`` is the label of each id; with ``relabel``, counts, sums
+        and labels are those of the relabelled rows."""
+        k = 7
+        pdf = labeled_state.toPandas().sort_values("id")
+        X = to_matrix(pdf["features"])
+        np.testing.assert_array_equal(S.cluster_stats(labeled_state, k)[2], pdf["label"])
+
+        def relabel(batch, Xb):
+            return (batch["label"].to_numpy() + (Xb[:, 0] > 0)) % k
+
+        counts, sums, labels = S.cluster_stats(labeled_state, k, relabel=relabel)
+        want = (pdf["label"].to_numpy() + (X[:, 0] > 0)) % k
+        np.testing.assert_array_equal(labels, want)
+        np.testing.assert_array_equal(counts, np.bincount(want, minlength=k))
+        for r in range(k):
+            np.testing.assert_allclose(sums[r], X[want == r].sum(0), rtol=1e-9)
 
     def test_label_out_of_range_raises(self, spark, feats_small):
         state = feats_small.select("id", "features").withColumn(
@@ -69,7 +87,7 @@ class TestClusterStats:
 
 class TestCentroids:
     def test_centroids_are_means(self, labeled_state):
-        counts, sums = S.cluster_stats(labeled_state, 7)
+        counts, sums, _ = S.cluster_stats(labeled_state, 7)
         C, mask = S.centroids_from_stats(counts, sums)
         pdf = labeled_state.toPandas()
         X, lab = to_matrix(pdf["features"]), pdf["label"].to_numpy()
@@ -89,7 +107,7 @@ class TestDistortionIdentity:
     def test_E_equals_S_minus_I_over_n(self, labeled_state):
         """The identity E=(S-I)/n that makes boost-method tracking free."""
         k = 7
-        counts, sums = S.cluster_stats(labeled_state, k)
+        counts, sums, _ = S.cluster_stats(labeled_state, k)
         I = S.objective_from_stats(counts, sums)
         sq, n = S.sum_sq_norms(labeled_state)
         C, _ = S.centroids_from_stats(counts, sums)
@@ -131,7 +149,7 @@ class TestDistortionIdentity:
         assert S.distortion(state, C) == pytest.approx(0.0)
 
     def test_distortion_from_state(self, labeled_state):
-        counts, sums = S.cluster_stats(labeled_state, 7)
+        counts, sums, _ = S.cluster_stats(labeled_state, 7)
         C, _ = S.centroids_from_stats(counts, sums)
         assert S.distortion_from_state(labeled_state, 7) == pytest.approx(
             S.distortion(labeled_state, C), rel=1e-9
